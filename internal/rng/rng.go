@@ -21,8 +21,53 @@ import (
 // Source is a xoshiro256** generator. The zero value is not usable; obtain
 // one from New, NewStream or Split.
 type Source struct {
-	s [4]uint64
+	x Xoshiro
 }
+
+// Xoshiro is the bare xoshiro256** state as a value. Its four fields make it
+// SSA-able, so a loop that copies it out of a Source (Source.Xoshiro), steps
+// a local copy and writes it back (Source.SetXoshiro) keeps the whole
+// 256-bit state in registers for the batch instead of storing it to memory
+// after every draw. Next and Uint64n are the single definition of the
+// sequence: Source's methods call them too, so a bulk loop over a local
+// Xoshiro consumes exactly the values the same number of Source calls
+// would. Both must stay inlinable or the state spills to the stack: with
+// Go 1.24, Uint64n costs exactly the inliner's budget of 80, so any added
+// node pushes it out (check with go build -gcflags=-m).
+type Xoshiro struct {
+	s0, s1, s2, s3 uint64
+}
+
+// Next returns the advanced state and the next 64 uniformly distributed
+// bits.
+func (x Xoshiro) Next() (Xoshiro, uint64) {
+	return Xoshiro{x.s0 ^ x.s3 ^ x.s1, x.s1 ^ x.s2 ^ x.s0, x.s2 ^ x.s0 ^ x.s1<<17, bits.RotateLeft64(x.s3^x.s1, 45)},
+		bits.RotateLeft64(x.s1*5, 7) * 9
+}
+
+// Uint64n returns the advanced state and a uniform value in [0, n), n ≥ 1,
+// by Lemire's nearly divisionless method: a draw is rejected only when the
+// low product word falls below (2^64 − n) mod n, a threshold computed only
+// when that word is below n at all. The loop is the textbook rejection loop
+// with the two acceptance tests folded into one condition, so it consumes
+// the identical sequence.
+func (x Xoshiro) Uint64n(n uint64) (_ Xoshiro, hi uint64) {
+	for {
+		var lo uint64
+		x, lo = x.Next()
+		hi, lo = bits.Mul64(lo, n)
+		if lo >= n || lo >= -n%n {
+			return x, hi
+		}
+	}
+}
+
+// Xoshiro returns a copy of the generator state for a bulk loop; hand the
+// advanced copy back with SetXoshiro before the Source is used again.
+func (r *Source) Xoshiro() Xoshiro { return r.x }
+
+// SetXoshiro stores a state taken with Xoshiro and advanced by the caller.
+func (r *Source) SetXoshiro(x Xoshiro) { r.x = x }
 
 // golden is the SplitMix64 increment (2^64 / phi, odd).
 const golden = 0x9E3779B97F4A7C15
@@ -63,14 +108,16 @@ func NewStream(seed, stream uint64) *Source {
 // Reseed resets the generator state from seed, as New does.
 func (r *Source) Reseed(seed uint64) {
 	x := seed
-	for i := range r.s {
-		r.s[i] = splitmix64(&x)
+	var s [4]uint64
+	for i := range s {
+		s[i] = splitmix64(&x)
 	}
 	// A state of all zeros is the single invalid xoshiro state; SplitMix64
 	// cannot produce four consecutive zeros, but guard anyway.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = golden
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = golden
 	}
+	r.x = Xoshiro{s[0], s[1], s[2], s[3]}
 }
 
 // Split derives a new independent Source from r, advancing r. Successive
@@ -82,16 +129,9 @@ func (r *Source) Split() *Source {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Source) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	var v uint64
+	r.x, v = r.x.Next()
+	return v
 }
 
 // jumpPoly is the polynomial for Jump (advances 2^128 steps).
@@ -101,23 +141,23 @@ var jumpPoly = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc
 // Uint64. It can be used to partition one seed into up to 2^128
 // non-overlapping subsequences of length 2^128 each.
 func (r *Source) Jump() {
-	var s [4]uint64
+	var s Xoshiro
 	for _, jp := range jumpPoly {
 		for b := 0; b < 64; b++ {
 			if jp&(1<<uint(b)) != 0 {
-				s[0] ^= r.s[0]
-				s[1] ^= r.s[1]
-				s[2] ^= r.s[2]
-				s[3] ^= r.s[3]
+				s.s0 ^= r.x.s0
+				s.s1 ^= r.x.s1
+				s.s2 ^= r.x.s2
+				s.s3 ^= r.x.s3
 			}
 			r.Uint64()
 		}
 	}
-	r.s = s
+	r.x = s
 }
 
 // State returns a copy of the raw 256-bit state, for checkpointing.
-func (r *Source) State() [4]uint64 { return r.s }
+func (r *Source) State() [4]uint64 { return [4]uint64{r.x.s0, r.x.s1, r.x.s2, r.x.s3} }
 
 // SetState restores a state captured with State. It returns an error if the
 // state is all zeros (the single invalid xoshiro state).
@@ -125,7 +165,7 @@ func (r *Source) SetState(s [4]uint64) error {
 	if s[0]|s[1]|s[2]|s[3] == 0 {
 		return errors.New("rng: all-zero state is invalid")
 	}
-	r.s = s
+	r.x = Xoshiro{s[0], s[1], s[2], s[3]}
 	return nil
 }
 
@@ -135,14 +175,9 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with n == 0")
 	}
-	hi, lo := bits.Mul64(r.Uint64(), n)
-	if lo < n {
-		thresh := -n % n // == (2^64 - n) mod n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
-	}
-	return hi
+	var v uint64
+	r.x, v = r.x.Uint64n(n)
+	return v
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

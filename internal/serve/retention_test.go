@@ -60,6 +60,37 @@ func TestResultCache(t *testing.T) {
 	}
 }
 
+// TestResubmitOnDoneEventHits pins the order of a run's last two steps:
+// the result cache is fed while the run is still running, and only then is
+// the run marked done. A resubmission issued from the stream subscriber the
+// moment the run's done transition closes its channel is therefore always
+// a cache hit, never a recomputation.
+func TestResubmitOnDoneEventHits(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1})
+	for seed := uint64(1); seed <= 8; seed++ {
+		spec := Spec{Seed: seed, N: 4096, Rounds: 200, Shards: 2, Quantiles: []float64{0.5}}
+		info, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := s.lookup(info.ID)
+		if ch := r.subscribe(); ch != nil {
+			for range ch { // drain progress events until the done transition closes ch
+			}
+		}
+		if st := r.Info().Status; st != StatusDone {
+			t.Fatalf("seed %d: run ended %s", seed, st)
+		}
+		hit, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached || hit.Status != StatusDone {
+			t.Fatalf("seed %d: resubmit on the done event: status %s cached %v, want a cache hit", seed, hit.Status, hit.Cached)
+		}
+	}
+}
+
 // TestResultCacheAcrossRestart: the cache is rebuilt from the persisted
 // manifest, so identical resubmissions hit across server generations.
 func TestResultCacheAcrossRestart(t *testing.T) {

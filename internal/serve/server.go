@@ -570,24 +570,23 @@ func (s *Server) execute(r *run) {
 			}
 		})
 	default:
+		// Feed the result cache before the done transition (first writer
+		// wins; later identical runs would store a bit-identical summary
+		// anyway). Anyone who sees this run done — a stream subscriber, a
+		// poller — and resubmits it then hits the cache. The run is still
+		// non-terminal here, so gc() cannot have collected it and the
+		// entry is evicted with it later (gc evicts entries by their
+		// producing run's id).
+		s.mu.Lock()
+		if key := specKey(spec); s.cache[key].summary == nil {
+			s.cache[key] = cacheEntry{runID: id, round: round, summary: summary}
+		}
+		s.mu.Unlock()
 		s.finishRun(r, func(info *RunInfo) {
 			info.Status = StatusDone
 			info.Round = round
 			info.Summary = summary
 		})
-		// Feed the result cache (first writer wins; later identical runs
-		// would store a bit-identical summary anyway). A concurrent gc()
-		// may already have collected this run between the terminal
-		// transition above and here — skip the write then, or the entry
-		// would outlive every future sweep (gc evicts entries by their
-		// producing run's id).
-		s.mu.Lock()
-		if _, live := s.runs[id]; live {
-			if key := specKey(spec); s.cache[key].summary == nil {
-				s.cache[key] = cacheEntry{runID: id, round: round, summary: summary}
-			}
-		}
-		s.mu.Unlock()
 	}
 	s.logger.Info("run left worker", "id", id, "status", string(r.Info().Status),
 		"round", round, "elapsed_ms", float64(s.now().Sub(start))/float64(time.Millisecond))

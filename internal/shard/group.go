@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -18,6 +17,7 @@ type shardPart struct {
 	size  int
 	state *engine.State
 	src   *rng.Source
+	draw  *engine.Drawer // bulk draws from src
 	// out[d] holds the global destination bins of balls this shard sends
 	// to global shard d in the current round. Written by this shard during
 	// release; in-process destinations are drained (and reset) by shard d
@@ -39,13 +39,9 @@ type shardPart struct {
 // inbound ones, then Commit. Each phase call returns only after every
 // owned shard's work completed — the runner is the phase barrier.
 type Group struct {
-	n      int // global bins
-	s      int // global shard count
-	lo, hi int // owned shard range [lo, hi)
-	// shift routes a destination to its shard with v >> shift when every
-	// shard has the same power-of-two size (the common n = 2^k case);
-	// −1 selects the general divide-based router.
-	shift  int
+	n      int         // global bins
+	s      int         // global shard count
+	lo, hi int         // owned shard range [lo, hi)
 	parts  []shardPart // parts[i] is global shard lo+i
 	runner transport.Runner
 
@@ -57,6 +53,13 @@ type Group struct {
 
 	released []int // per owned shard, release counts of the in-flight round
 	staged   []int // per owned shard, arrival counts of the in-flight round
+
+	// arrivals is the in-flight round's rule, set by Release. release and
+	// commit are the per-shard phase functions, bound once so that a round
+	// hands the runner no fresh closure: a steady-state round allocates
+	// nothing.
+	arrivals        Arrivals
+	release, commit func(i int)
 }
 
 // PartitionSize returns the canonical size of shard i when n bins are
@@ -114,6 +117,7 @@ func NewGroup(n, s, lo, hi int, loads []int32, seed uint64, runner transport.Run
 		}
 		sh.state = st
 		sh.src = rng.NewStream(seed, uint64(lo+i))
+		sh.draw = engine.NewDrawer(sh.src)
 		off += sh.size
 	}
 	g.prefault()
@@ -165,6 +169,7 @@ func NewGroupFromSnapshot(snap *EngineSnapshot, lo, hi int, runner transport.Run
 		if err := sh.src.SetState(ss.RNG); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", lo+i, err)
 		}
+		sh.draw = engine.NewDrawer(sh.src)
 	}
 	g.prefault()
 	return g, nil
@@ -190,15 +195,12 @@ func newGroupFrame(n, s, lo, hi int, runner transport.Runner) (*Group, error) {
 		s:        s,
 		lo:       lo,
 		hi:       hi,
-		shift:    -1,
 		parts:    make([]shardPart, hi-lo),
 		runner:   runner,
 		released: make([]int, hi-lo),
 		staged:   make([]int, hi-lo),
 	}
-	if q, r := n/s, n%s; r == 0 && q&(q-1) == 0 {
-		g.shift = bits.TrailingZeros(uint(q))
-	}
+	g.release, g.commit = g.releaseShard, g.commitShard
 	for i := range g.parts {
 		g.parts[i] = shardPart{
 			base: PartitionStart(n, s, lo+i),
@@ -233,56 +235,36 @@ func (g *Group) prefault() {
 	g.runner.Run(func(i int) { g.parts[i].state.Prefault() })
 }
 
-// ShardOf returns the global shard owning global bin v. The first n mod S
-// shards hold q+1 bins, the rest q; with a uniform power-of-two partition
-// the lookup is a single shift (the hot path of destination routing).
-func (g *Group) ShardOf(v int) int {
-	if g.shift >= 0 {
-		return v >> g.shift
-	}
-	q, r := g.n/g.s, g.n%g.s
-	big := r * (q + 1)
-	if v < big {
-		return v / (q + 1)
-	}
-	return r + (v-big)/q
-}
+// ShardOf returns the global shard owning global bin v: the first n mod S
+// shards hold one bin more than the rest (engine.PartOf, the arithmetic
+// Release routes destinations with).
+func (g *Group) ShardOf(v int) int { return engine.PartOf(v, g.n, g.s) }
 
 // owns reports whether global shard s is held by this group.
 func (g *Group) owns(s int) bool { return s >= g.lo && s < g.hi }
 
 // Release runs the release phase on every owned shard: remove one ball
 // from each non-empty bin, decide the shard's arrival count via arrivals,
-// draw that many uniform destinations in [0, n) from the shard's private
-// stream, and stage them in the per-destination outgoing buffers. Returns
-// after the phase barrier.
+// and draw that many uniform destinations in [0, n) from the shard's
+// private stream straight into the per-destination outgoing buffers (one
+// fused Drawer.Route loop). Returns after the phase barrier.
 func (g *Group) Release(arrivals Arrivals) {
 	sp := obs.StartSpan("release", obs.LanePhases)
 	tm := obs.StartTimer()
-	n := g.n
-	g.runner.Run(func(i int) {
-		sh := &g.parts[i]
-		released := sh.state.ReleaseEach(nil)
-		k := arrivals(g.lo+i, released, sh.src)
-		src, out, bound := sh.src, sh.out, uint64(n)
-		if shift := g.shift; shift >= 0 {
-			for j := 0; j < k; j++ {
-				v := src.Uint64n(bound)
-				d := v >> uint(shift)
-				out[d] = append(out[d], int32(v))
-			}
-		} else {
-			for j := 0; j < k; j++ {
-				v := int(src.Uint64n(bound))
-				d := g.ShardOf(v)
-				out[d] = append(out[d], int32(v))
-			}
-		}
-		g.released[i] = released
-		g.staged[i] = k
-	})
+	g.arrivals = arrivals
+	g.runner.Run(g.release)
 	tm.ObserveSeconds(mPhaseRelease)
 	sp.End()
+}
+
+// releaseShard is the release phase of owned shard lo+i.
+func (g *Group) releaseShard(i int) {
+	sh := &g.parts[i]
+	released := sh.state.ReleaseEach(nil)
+	k := g.arrivals(g.lo+i, released, sh.src)
+	sh.draw.Route(sh.out, k, g.n)
+	g.released[i] = released
+	g.staged[i] = k
 }
 
 // Outgoing returns the staged buffer from owned shard src to global shard
@@ -310,35 +292,7 @@ func (g *Group) Deliver(src, dst int, buf []int32) {
 func (g *Group) Commit() {
 	sp := obs.StartSpan("commit", obs.LanePhases)
 	tm := obs.StartTimer()
-	count := obs.Enabled()
-	g.runner.Run(func(i int) {
-		sh := &g.parts[i]
-		d := g.lo + i
-		base := int32(sh.base)
-		balls, msgs := 0, 0
-		for s := 0; s < g.s; s++ {
-			var buf []int32
-			if g.owns(s) {
-				buf = g.parts[s-g.lo].out[d]
-				sh.state.DepositBatch(buf, base)
-				g.parts[s-g.lo].out[d] = buf[:0]
-			} else {
-				buf = g.inbox[i][s]
-				sh.state.DepositBatch(buf, base)
-				g.inbox[i][s] = buf[:0]
-			}
-			if count && len(buf) > 0 && s != d {
-				balls += len(buf)
-				msgs++
-			}
-		}
-		sh.state.Commit()
-		if count {
-			// One atomic add per shard per round, never per ball.
-			mExchangeBalls.Add(uint64(balls))
-			mExchangeMsgs.Add(uint64(msgs))
-		}
-	})
+	g.runner.Run(g.commit)
 	if g.lo > 0 || g.hi < g.s {
 		for i := range g.parts {
 			out := g.parts[i].out
@@ -351,6 +305,37 @@ func (g *Group) Commit() {
 	}
 	tm.ObserveSeconds(mPhaseCommit)
 	sp.End()
+}
+
+// commitShard is the commit phase of owned shard lo+i.
+func (g *Group) commitShard(i int) {
+	sh := &g.parts[i]
+	d := g.lo + i
+	base := int32(sh.base)
+	count := obs.Enabled()
+	balls, msgs := 0, 0
+	for s := 0; s < g.s; s++ {
+		var buf []int32
+		if g.owns(s) {
+			buf = g.parts[s-g.lo].out[d]
+			sh.state.DepositBatch(buf, base)
+			g.parts[s-g.lo].out[d] = buf[:0]
+		} else {
+			buf = g.inbox[i][s]
+			sh.state.DepositBatch(buf, base)
+			g.inbox[i][s] = buf[:0]
+		}
+		if count && len(buf) > 0 && s != d {
+			balls += len(buf)
+			msgs++
+		}
+	}
+	sh.state.Commit()
+	if count {
+		// One atomic add per shard per round, never per ball.
+		mExchangeBalls.Add(uint64(balls))
+		mExchangeMsgs.Add(uint64(msgs))
+	}
 }
 
 // N returns the global number of bins.

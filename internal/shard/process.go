@@ -28,15 +28,7 @@ func NewProcess(loads []int32, seed uint64, opts Options) (*Process, error) {
 	if opts.OnEmptied != nil {
 		return nil, errors.New("shard: NewProcess does not support OnEmptied")
 	}
-	eng, err := NewEngine(loads, seed, opts)
-	if err != nil {
-		return nil, err
-	}
-	m := eng.Sum()
-	if m > math.MaxInt32 {
-		return nil, fmt.Errorf("shard: %d balls exceed int32 bin capacity", m)
-	}
-	return &Process{eng: eng, m: m}, nil
+	return newProcess(NewEngine(loads, seed, opts))
 }
 
 // Snapshot captures the full process state for checkpointing. A Process
@@ -52,12 +44,18 @@ func RestoreProcess(snap *EngineSnapshot, opts Options) (*Process, error) {
 	if opts.OnEmptied != nil {
 		return nil, errors.New("shard: RestoreProcess does not support OnEmptied")
 	}
-	eng, err := RestoreEngine(snap, opts)
+	return newProcess(RestoreEngine(snap, opts))
+}
+
+// newProcess wraps a freshly built engine, whose balls must fit one int32
+// bin.
+func newProcess(eng *Engine, err error) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
 	m := eng.Sum()
 	if m > math.MaxInt32 {
+		eng.Close()
 		return nil, fmt.Errorf("shard: %d balls exceed int32 bin capacity", m)
 	}
 	return &Process{eng: eng, m: m}, nil
@@ -191,7 +189,7 @@ func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) 
 			t.firstEmpty[u] = 0
 		} else {
 			t.firstEmpty[u] = -1
-			t.perShardNever[eng.shardOf(u)]++
+			t.perShardNever[eng.g.ShardOf(u)]++
 		}
 	}
 	if t.arrive, err = rule.Arrivals(n, s); err != nil {
@@ -206,7 +204,7 @@ func NewTetris(loads []int32, seed uint64, opts TetrisOptions) (*Tetris, error) 
 func (t *Tetris) markEmptied(u int) {
 	if t.firstEmpty[u] < 0 {
 		t.firstEmpty[u] = t.roundNow + 1
-		t.perShardNever[t.eng.shardOf(u)]--
+		t.perShardNever[t.eng.g.ShardOf(u)]--
 	}
 }
 

@@ -406,12 +406,6 @@ func (e *Engine) Released() int { return e.released }
 // the first round).
 func (e *Engine) Staged() int { return e.staged }
 
-// shardOf returns the shard owning global bin v.
-func (e *Engine) shardOf(v int) int { return e.g.ShardOf(v) }
-
-// shardSize returns the bin count of shard i.
-func (e *Engine) shardSize(i int) int { return PartitionSize(e.g.N(), e.g.Shards(), i) }
-
 // Load returns the load of global bin u.
 func (e *Engine) Load(u int) int32 { return e.g.Load(u) }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestPartition(t *testing.T) {
 		// Every bin maps to the shard whose range contains it, and sizes
 		// differ by at most one.
 		for v := 0; v < tc.n; v++ {
-			i := e.shardOf(v)
+			i := e.g.ShardOf(v)
 			base, size := PartitionStart(tc.n, wantS, i), PartitionSize(tc.n, wantS, i)
 			if v < base || v >= base+size {
 				t.Fatalf("n=%d s=%d: bin %d mapped to shard %d [%d,%d)",
@@ -57,7 +58,7 @@ func TestPartition(t *testing.T) {
 		}
 		min, max := tc.n, 0
 		for i := 0; i < wantS; i++ {
-			if sz := e.shardSize(i); sz < min {
+			if sz := PartitionSize(tc.n, wantS, i); sz < min {
 				min = sz
 			} else if sz > max {
 				max = sz
@@ -462,5 +463,26 @@ func TestPipeline(t *testing.T) {
 	}
 	if s := pl.String(); s == "" {
 		t.Error("String() empty with tracked quantiles")
+	}
+}
+
+// TestShardedRoundAllocs pins that a steady-state sharded round — Release
+// and Commit over 8 shards on the worker pool — allocates nothing once the
+// exchange buffers and the shards' kernel scratch have grown.
+func TestShardedRoundAllocs(t *testing.T) {
+	e, err := NewEngine(slices.Repeat([]int32{1}, 1<<14), 1, Options{Shards: 8, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	round := func() {
+		e.g.Release(relaunch)
+		e.g.Commit()
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(64, round); allocs != 0 {
+		t.Fatalf("steady-state sharded round allocates %v times, want 0", allocs)
 	}
 }
